@@ -14,8 +14,14 @@
  *    baseline diff - the same bit-identity contract the conformance
  *    suite enforces, here without a codec in the loop.
  *
+ * The viterbi row runs the Viterbi forward pass over one soft FEC
+ * block and counts decoded bits instead of pels (`wall_ns_per_bit`,
+ * `wall_mbit_per_sec`, `bits`); its checksum folds the path metric
+ * and every decision word.
+ *
  * Self-check (exit 1 on violation): every backend's checksum must
- * equal the scalar backend's for every kernel.
+ * equal the scalar backend's for every kernel, and a kernel that
+ * diverges is reported without being timed.
  *
  * The committed baseline (bench/baselines/BENCH_kernels.json) holds
  * only the scalar entries (generate with `--scalar-only`): SIMD
@@ -27,6 +33,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -35,6 +42,7 @@
 #include "bench/bench_json.hh"
 #include "codec/kernels/kernels.hh"
 #include "codec/quant.hh"
+#include "fec/conv.hh"
 #include "support/random.hh"
 
 namespace
@@ -63,6 +71,15 @@ struct Inputs
     std::vector<uint8_t> pels;    //!< Byte rows (SAD/interp/copy).
     std::vector<int16_t> blocks;  //!< 8x8 coefficient blocks.
 
+    // One soft-decision FEC block: a 1600-byte payload through the
+    // K=7 code and an AWGN channel at 6.8 dB Es/N0 (the offline job's
+    // operating point).
+    static constexpr size_t kViterbiInfoBits = 1600 * 8;
+    std::vector<uint8_t> branch;  //!< Trellis of the default code.
+    std::vector<uint8_t> cost;    //!< Soft offset-LLR cost map.
+    std::vector<uint8_t> symbols; //!< Received symbols, tail included.
+    mutable std::vector<uint64_t> decisions;
+
     Inputs()
     {
         Rng rng(0x6b65726eull);
@@ -79,6 +96,27 @@ struct Inputs
             blocks[i] = static_cast<int16_t>(
                 rng.uniformInt(-amp, amp));
         }
+
+        const fec::ConvCode code;
+        for (int st = 0; st < code.numStates(); ++st) {
+            branch.push_back(fec::branchBits(code, st, 0));
+            branch.push_back(fec::branchBits(code, st, 1));
+        }
+        for (int r = 0; r < 256; ++r) {
+            cost.push_back(static_cast<uint8_t>(r));
+            cost.push_back(static_cast<uint8_t>(255 - r));
+        }
+        std::vector<uint8_t> payload(kViterbiInfoBits / 8);
+        for (auto &b : payload)
+            b = static_cast<uint8_t>(rng.next());
+        const double sigma = 1.0 / std::sqrt(2.0 * std::pow(10.0, 0.68));
+        for (uint8_t bit : fec::convEncodeBytes(code, payload.data(),
+                                                payload.size())) {
+            const double y = (bit ? 1.0 : -1.0) + sigma * rng.gaussian();
+            symbols.push_back(static_cast<uint8_t>(std::clamp(
+                static_cast<int>(std::lround(128.0 + 64.0 * y)), 0, 255)));
+        }
+        decisions.resize(symbols.size() / 2);
     }
 };
 
@@ -314,10 +352,34 @@ runSsd(const kn::KernelOps &k, const Inputs &in, uint64_t *pels,
     return h;
 }
 
+/** Viterbi forward pass over the FEC block; "pels" count info bits. */
+uint64_t
+runViterbi(const kn::KernelOps &k, const Inputs &in, uint64_t *pels,
+           bool hash)
+{
+    kn::ViterbiArgs a;
+    a.k = 7;
+    a.branch = in.branch.data();
+    a.cost = in.cost.data();
+    a.symbols = in.symbols.data();
+    a.steps = in.decisions.size();
+    a.decisions = in.decisions.data();
+    const uint64_t metric = k.viterbiForward(a);
+    uint64_t h = kFnvOffset;
+    if (hash) {
+        h = fnv(h, &metric, sizeof(metric));
+        h = fnv(h, in.decisions.data(),
+                in.decisions.size() * sizeof(uint64_t));
+    }
+    *pels = Inputs::kViterbiInfoBits;
+    return h;
+}
+
 struct OpSpec
 {
     const char *name;
     OpFn fn;
+    const char *unit = "pel"; //!< What the work count counts.
 };
 
 const OpSpec kOps[] = {
@@ -326,18 +388,25 @@ const OpSpec kOps[] = {
     {"quant_h263", runQuant},  {"dequant_h263", runDequant},
     {"predict_row", runPredict}, {"interp_row", runInterp},
     {"avg_row", runAvg},       {"copy_row", runCopy},
-    {"ssd_row", runSsd},
+    {"ssd_row", runSsd},       {"viterbi", runViterbi, "bit"},
 };
 
+/**
+ * Times one kernel after checking its output against @p ref (the
+ * scalar result; null for scalar itself).  A diverging kernel is not
+ * timed: its nsPerPel stays 0.
+ */
 OpResult
 timeOp(const OpSpec &spec, const kn::KernelOps &k, const Inputs &in,
-       int reps)
+       int reps, const OpResult *ref)
 {
     OpResult r;
     r.op = spec.name;
     uint64_t pels = 0;
     r.checksum = spec.fn(k, in, &pels, true); // warm-up + checksum
     r.pels = static_cast<double>(pels);
+    if (ref != nullptr && r.checksum != ref->checksum)
+        return r;
     // Timed passes skip the checksum fold (a serial byte chain that
     // would otherwise dilute the kernel's share of the loop); the
     // indirect call through KernelOps keeps the work from being
@@ -398,16 +467,21 @@ main(int argc, char **argv)
     for (kn::Isa isa : isas) {
         const kn::KernelOps &k = *kn::opsFor(isa);
         std::printf("\n%s backend:\n", k.name);
-        std::printf("  %-12s %12s %14s %10s\n", "kernel", "ns/pel",
+        std::printf("  %-12s %12s %14s %10s\n", "kernel", "ns/unit",
                     "checksum", "speedup");
         for (size_t op = 0; op < std::size(kOps); ++op) {
-            const OpResult r = timeOp(kOps[op], k, inputs, reps);
+            const OpSpec &spec = kOps[op];
+            const OpResult r =
+                timeOp(spec, k, inputs, reps,
+                       isa == kn::Isa::Scalar ? nullptr
+                                              : &scalarResults[op]);
             double speedup = 1.0;
             if (isa == kn::Isa::Scalar) {
                 scalarResults.push_back(r);
             } else {
                 const OpResult &s = scalarResults[op];
-                speedup = s.nsPerPel / r.nsPerPel;
+                // An untimed (diverging) kernel reports 0.
+                speedup = r.nsPerPel > 0 ? s.nsPerPel / r.nsPerPel : 0;
                 if (r.checksum != s.checksum) {
                     identical = false;
                     std::printf("  %-12s CHECKSUM MISMATCH vs "
@@ -415,9 +489,15 @@ main(int argc, char **argv)
                                 r.op.c_str());
                 }
             }
-            std::printf("  %-12s %12.3f %14" PRIx64 " %9.2fx\n",
+            std::printf("  %-12s %12.3f %14" PRIx64 " %9.2fx",
                         r.op.c_str(), r.nsPerPel, r.checksum,
                         speedup);
+            const bool bits = std::strcmp(spec.unit, "bit") == 0;
+            const double mbitPerSec =
+                r.nsPerPel > 0 ? 1e3 / r.nsPerPel : 0;
+            if (bits)
+                std::printf("  %.1f Mbit/s", mbitPerSec);
+            std::printf("\n");
 
             bench::BenchEntry e;
             e.bench = "kernels/" + r.op + "@" + k.name;
@@ -426,9 +506,14 @@ main(int argc, char **argv)
             e.config.add("isa", support::JsonValue::of(k.name));
             e.config.add("reps", support::JsonValue::of(
                                      static_cast<int64_t>(reps)));
-            e.metrics.add("wall_ns_per_pel",
+            e.metrics.add(std::string("wall_ns_per_") + spec.unit,
                           support::JsonValue::of(r.nsPerPel));
-            e.metrics.add("pels", support::JsonValue::of(r.pels));
+            e.metrics.add(std::string(spec.unit) + "s",
+                          support::JsonValue::of(r.pels));
+            if (bits) {
+                e.metrics.add("wall_mbit_per_sec",
+                              support::JsonValue::of(mbitPerSec));
+            }
             e.metrics.add(
                 "checksum",
                 support::JsonValue::of(static_cast<double>(

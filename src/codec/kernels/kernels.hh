@@ -6,8 +6,9 @@
  * hardware; this layer is the controlled experiment that adds SIMD
  * back.  The inner loops of motion estimation (16x16/8x8 SAD with
  * half-pel variants), the 8x8 DCT/IDCT, quantization, half-pel plane
- * interpolation, and the concealment/prediction copies are factored
- * into a table of function pointers (KernelOps) with one
+ * interpolation, the concealment/prediction copies, and the Viterbi
+ * add-compare-select of the FEC decoder are factored into a table of
+ * function pointers (KernelOps) with one
  * implementation per instruction set: portable scalar (the reference,
  * always compiled), SSE4.1 and AVX2 on x86-64, NEON on AArch64.  The
  * backend is chosen once at startup - CPUID-based feature detection
@@ -44,6 +45,7 @@
 #ifndef M4PS_CODEC_KERNELS_KERNELS_HH
 #define M4PS_CODEC_KERNELS_KERNELS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,6 +69,30 @@ struct QuantArgs
     bool intra = false;         //!< Intra block (no dead zone).
     bool mpeg = false;          //!< MPEG weighting-matrix mode.
     const int *matrix = nullptr;//!< 64-entry weight matrix when mpeg.
+};
+
+/**
+ * One block for the Viterbi forward pass (fec/viterbi.hh): the code's
+ * trellis, the received symbols and the symbol-cost map.  Costs are
+ * small non-negative integers, so a branch (two symbols) costs at
+ * most 510.
+ */
+struct ViterbiArgs
+{
+    int k = 7; //!< Constraint length in [3, 7]: 2^(k-1) states.
+    /** branch[s * 2 + u]: coded pair of state s on input u (g1 at
+     *  bit 0, g2 at bit 1). */
+    const uint8_t *branch = nullptr;
+    /** cost[r * 2 + e]: cost of receiving r when bit e was sent. */
+    const uint8_t *cost = nullptr;
+    const uint8_t *symbols = nullptr; //!< 2 * steps received symbols.
+    size_t steps = 0; //!< Trellis steps, tail included.
+    /**
+     * steps words out: bit ns of word t is set when state ns took its
+     * odd predecessor at step t (only when that path is strictly
+     * cheaper).
+     */
+    uint64_t *decisions = nullptr;
 };
 
 /**
@@ -132,6 +158,15 @@ struct KernelOps
     void (*copyRow)(const uint8_t *src, int n, uint8_t *dst);
     /** Sum of squared differences (PSNR helpers); exact in uint64. */
     uint64_t (*ssdRow)(const uint8_t *a, const uint8_t *b, int n);
+
+    // --- Channel decoding ------------------------------------------
+    /**
+     * Viterbi add-compare-select over a whole block, starting from
+     * state 0 with every other state unreachable.  Writes one decision
+     * word per step and returns the exact accumulated metric of state
+     * 0 after the last step.
+     */
+    uint64_t (*viterbiForward)(const ViterbiArgs &a);
 };
 
 /** Backend name for an ISA ("scalar", "sse41", "avx2", "neon"). */

@@ -9,9 +9,11 @@
  * registers covering all eight outputs of a pass, each lane running
  * the scalar multiply-then-add order (no FMA: this file is compiled
  * with -mavx2 only).  Row kernels of 16 pels stay on 128-bit PSADBW /
- * PAVGB forms - a macroblock row does not fill a ymm - while the
- * wide-span kernels (interpolation, averaging, SSD) and the
- * coefficient kernels use full 256-bit lanes.
+ * PAVGB forms - a macroblock row does not fill a ymm - so the table
+ * points at the SSE4.1 entries for them, and at the scalar memcpy for
+ * copyRow; the wide-span kernels (interpolation, averaging, SSD), the
+ * coefficient kernels and the Viterbi butterflies use full 256-bit
+ * lanes.
  */
 
 #if defined(M4PS_KERNELS_HAVE_AVX2)
@@ -20,7 +22,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <immintrin.h>
 
 namespace m4ps::codec::kernels
@@ -31,12 +32,6 @@ namespace avx2
 
 namespace
 {
-
-inline int
-hsum_sad(__m128i s)
-{
-    return _mm_cvtsi128_si32(s) + _mm_extract_epi16(s, 4);
-}
 
 /** (a + b + c + d + 2) >> 2 over 16 pels, widened through epi16. */
 inline __m128i
@@ -53,136 +48,7 @@ avg4x16(__m128i a, __m128i b, __m128i c, __m128i d)
                             _mm256_extracti128_si256(r, 1));
 }
 
-/** Half-pel interpolated row of 16 pels at phase (hx, hy). */
-inline __m128i
-hpel16(const uint8_t *r0, const uint8_t *r1, int hx, int hy)
-{
-    const __m128i a = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(r0));
-    if (hx && hy) {
-        return avg4x16(
-            a,
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(r0 + 1)),
-            _mm_loadu_si128(reinterpret_cast<const __m128i *>(r1)),
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(r1 + 1)));
-    }
-    if (hx) {
-        return _mm_avg_epu8(a, _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(r0 + 1)));
-    }
-    if (hy) {
-        return _mm_avg_epu8(a, _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(r1)));
-    }
-    return a;
-}
-
-inline __m128i
-hpel8(const uint8_t *r0, const uint8_t *r1, int hx, int hy)
-{
-    const __m128i a = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(r0));
-    if (hx && hy) {
-        const __m128i b = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(r0 + 1));
-        const __m128i c = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(r1));
-        const __m128i d = _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(r1 + 1));
-        const __m128i s = _mm_add_epi16(
-            _mm_add_epi16(_mm_cvtepu8_epi16(a), _mm_cvtepu8_epi16(b)),
-            _mm_add_epi16(_mm_cvtepu8_epi16(c),
-                          _mm_cvtepu8_epi16(d)));
-        const __m128i r = _mm_srli_epi16(
-            _mm_add_epi16(s, _mm_set1_epi16(2)), 2);
-        return _mm_packus_epi16(r, _mm_setzero_si128());
-    }
-    if (hx) {
-        return _mm_avg_epu8(a, _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(r0 + 1)));
-    }
-    if (hy) {
-        return _mm_avg_epu8(a, _mm_loadl_epi64(
-            reinterpret_cast<const __m128i *>(r1)));
-    }
-    return a;
-}
-
 } // namespace
-
-int
-sadRow16(const uint8_t *c, const uint8_t *r)
-{
-    const __m128i cv = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(c));
-    const __m128i rv = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(r));
-    return hsum_sad(_mm_sad_epu8(cv, rv));
-}
-
-int
-sadRow8(const uint8_t *c, const uint8_t *r)
-{
-    const __m128i cv = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(c));
-    const __m128i rv = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(r));
-    return _mm_cvtsi128_si32(_mm_sad_epu8(cv, rv));
-}
-
-int
-sadRowHpel16(const uint8_t *c, const uint8_t *r0, const uint8_t *r1,
-             int hx, int hy)
-{
-    const __m128i cv = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(c));
-    return hsum_sad(_mm_sad_epu8(cv, hpel16(r0, r1, hx, hy)));
-}
-
-int
-sadRowHpel8(const uint8_t *c, const uint8_t *r0, const uint8_t *r1,
-            int hx, int hy)
-{
-    const __m128i cv = _mm_loadl_epi64(
-        reinterpret_cast<const __m128i *>(c));
-    return _mm_cvtsi128_si32(
-        _mm_sad_epu8(cv, hpel8(r0, r1, hx, hy)));
-}
-
-int
-sumRow16(const uint8_t *c)
-{
-    const __m128i cv = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(c));
-    return hsum_sad(_mm_sad_epu8(cv, _mm_setzero_si128()));
-}
-
-int
-absDevRow16(const uint8_t *c, uint8_t mean)
-{
-    const __m128i cv = _mm_loadu_si128(
-        reinterpret_cast<const __m128i *>(c));
-    const __m128i mv = _mm_set1_epi8(static_cast<char>(mean));
-    return hsum_sad(_mm_sad_epu8(cv, mv));
-}
-
-void
-predictRow(const uint8_t *r0, const uint8_t *r1, int hx, int hy, int n,
-           uint8_t *out)
-{
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(out + i),
-                         hpel16(r0 + i, r1 + i, hx, hy));
-    }
-    for (; i + 8 <= n; i += 8) {
-        _mm_storel_epi64(reinterpret_cast<__m128i *>(out + i),
-                         hpel8(r0 + i, r1 + i, hx, hy));
-    }
-    if (i < n)
-        scalar::predictRow(r0 + i, r1 + i, hx, hy, n - i, out + i);
-}
 
 void
 interpRow(const uint8_t *r0, const uint8_t *r1, int n, uint8_t *h,
@@ -234,12 +100,6 @@ avgRow(const uint8_t *a, const uint8_t *b, int n, uint8_t *out)
     }
     if (i < n)
         scalar::avgRow(a + i, b + i, n - i, out + i);
-}
-
-void
-copyRow(const uint8_t *src, int n, uint8_t *dst)
-{
-    std::memcpy(dst, src, static_cast<size_t>(n));
 }
 
 uint64_t
@@ -440,6 +300,89 @@ idct(const int16_t *in, int16_t *out)
     }
 }
 
+uint64_t
+viterbiForward(const ViterbiArgs &a)
+{
+    // 64 states in four 16-lane int16 registers; smaller codes are
+    // too narrow to pay for the shuffles.
+    if (a.k != 7)
+        return scalar::viterbiForward(a);
+
+    // Butterfly group g covers ns = 16g + i and ns + 32, j = 16g + i;
+    // VPSHUFB indexes within each 128-bit half.
+    scalar::ViterbiSimdTables tab;
+    scalar::viterbiSimdTables(a, 16, tab);
+    const auto *ctl = reinterpret_cast<const __m256i *>(tab.shuffle);
+
+    // Same int16 exactness argument as the SSE4.1 backend.
+    constexpr int kRenorm = 16;
+    const __m256i lo16 = _mm256_set1_epi32(0xffff);
+    __m256i m[4];
+    m[0] = _mm256_insert_epi16(_mm256_set1_epi16(0x2000), 0, 0);
+    for (int q = 1; q < 4; ++q)
+        m[q] = _mm256_set1_epi16(0x2000);
+    uint64_t normalized = 0;
+
+    for (size_t t = 0; t < a.steps; ++t) {
+        const __m256i pc = _mm256_set1_epi64x(static_cast<long long>(
+            tab.first[a.symbols[2 * t]] +
+            tab.second[a.symbols[2 * t + 1]]));
+        __m256i nm[4];
+        __m256i dec[2][2];
+        for (int g = 0; g < 2; ++g) {
+            // Split predecessors 32g..32g+31 into even and odd; the
+            // in-lane packs leave 64-bit quarters in 0, 2, 1, 3 order.
+            const __m256i ev = _mm256_permute4x64_epi64(
+                _mm256_packus_epi32(
+                    _mm256_and_si256(m[2 * g], lo16),
+                    _mm256_and_si256(m[2 * g + 1], lo16)),
+                0xd8);
+            const __m256i od = _mm256_permute4x64_epi64(
+                _mm256_packus_epi32(_mm256_srli_epi32(m[2 * g], 16),
+                                    _mm256_srli_epi32(m[2 * g + 1],
+                                                      16)),
+                0xd8);
+            for (int u = 0; u < 2; ++u) {
+                const __m256i m0 = _mm256_add_epi16(
+                    ev, _mm256_shuffle_epi8(pc, ctl[g * 4 + u]));
+                const __m256i m1 = _mm256_add_epi16(
+                    od, _mm256_shuffle_epi8(pc, ctl[g * 4 + 2 + u]));
+                nm[g + 2 * u] = _mm256_min_epi16(m0, m1);
+                dec[u][g] = _mm256_cmpgt_epi16(m0, m1); // m1 < m0
+            }
+        }
+        uint64_t word = 0;
+        for (int u = 0; u < 2; ++u) {
+            const __m256i bytes = _mm256_permute4x64_epi64(
+                _mm256_packs_epi16(dec[u][0], dec[u][1]), 0xd8);
+            word |= static_cast<uint64_t>(static_cast<uint32_t>(
+                        _mm256_movemask_epi8(bytes)))
+                    << (32 * u);
+        }
+        a.decisions[t] = word;
+        for (int q = 0; q < 4; ++q)
+            m[q] = nm[q];
+
+        if (t % kRenorm == kRenorm - 1) {
+            const __m256i mn = _mm256_min_epi16(
+                _mm256_min_epi16(m[0], m[1]),
+                _mm256_min_epi16(m[2], m[3]));
+            const int lo =
+                _mm_cvtsi128_si32(_mm_minpos_epu16(_mm_min_epi16(
+                    _mm256_castsi256_si128(mn),
+                    _mm256_extracti128_si256(mn, 1)))) &
+                0xffff;
+            const __m256i sub =
+                _mm256_set1_epi16(static_cast<short>(lo));
+            for (int q = 0; q < 4; ++q)
+                m[q] = _mm256_sub_epi16(m[q], sub);
+            normalized += static_cast<uint64_t>(lo);
+        }
+    }
+    return normalized + static_cast<uint64_t>(
+                            _mm256_extract_epi16(m[0], 0) & 0xffff);
+}
+
 } // namespace avx2
 
 const KernelOps &
@@ -447,21 +390,22 @@ avx2Ops()
 {
     static const KernelOps ops = {
         "avx2",
-        avx2::sadRow16,
-        avx2::sadRow8,
-        avx2::sadRowHpel16,
-        avx2::sadRowHpel8,
-        avx2::sumRow16,
-        avx2::absDevRow16,
+        sse41::sadRow16,
+        sse41::sadRow8,
+        sse41::sadRowHpel16,
+        sse41::sadRowHpel8,
+        sse41::sumRow16,
+        sse41::absDevRow16,
         avx2::fdct,
         avx2::idct,
         avx2::quant,
         avx2::dequant,
-        avx2::predictRow,
+        sse41::predictRow,
         avx2::interpRow,
         avx2::avgRow,
-        avx2::copyRow,
+        scalar::copyRow,
         avx2::ssdRow,
+        avx2::viterbiForward,
     };
     return ops;
 }

@@ -1,9 +1,11 @@
 /**
  * @file
  * Backend-internal sharing for the kernel layer: the scalar reference
- * implementations (SIMD backends call them for tails and for the
- * division-per-coefficient MPEG-matrix quantizer, and the test suite
- * compares against them directly) and the DCT basis tables.
+ * implementations (SIMD backends call them for tails, for the
+ * division-per-coefficient MPEG-matrix quantizer and for codes the
+ * SIMD Viterbi does not cover, and the test suite compares against
+ * them directly), the SSE4.1 row kernels the AVX2 table reuses, and
+ * the DCT basis tables.
  *
  * Not part of the public API; include kernels.hh from codec code.
  */
@@ -54,6 +56,29 @@ void interpRow(const uint8_t *r0, const uint8_t *r1, int n, uint8_t *h,
 void avgRow(const uint8_t *a, const uint8_t *b, int n, uint8_t *out);
 void copyRow(const uint8_t *src, int n, uint8_t *dst);
 uint64_t ssdRow(const uint8_t *a, const uint8_t *b, int n);
+uint64_t viterbiForward(const ViterbiArgs &a);
+
+/**
+ * Per-block tables of the SIMD Viterbi kernels (K = 7).  The cost map
+ * is split per symbol of a step, one 16-bit lane per expected pair
+ * value e (g1 bit at bit 0 of e): lane e of first[r] is cost[r][e & 1]
+ * and of second[r] is cost[r][e >> 1], so first[r0] + second[r1]
+ * packs the step's four pair costs with no carry between lanes (each
+ * is at most 510).  A kernel broadcasts that sum to every 64-bit
+ * quarter of a register and gathers it per state with PSHUFB:
+ * shuffle[g][p][u] holds, for lane i of butterfly group g, the byte
+ * indices of the cost of predecessor 2j + p (j = lanes * g + i) on
+ * input u, which leads to states j + 32 u.
+ */
+struct ViterbiSimdTables
+{
+    uint64_t first[256];
+    uint64_t second[256];
+    alignas(32) uint8_t shuffle[256]; //!< [g][p][u][2 * lanes] bytes.
+};
+
+void viterbiSimdTables(const ViterbiArgs &a, int lanes,
+                       ViterbiSimdTables &t);
 
 /** MPEG-matrix halves of quant/dequant, shared by every backend. */
 void quantMpeg(const int16_t *coefs, int16_t *levels, int start,
@@ -73,6 +98,27 @@ void dequantRange(const int16_t *levels, int16_t *coefs, int first,
                   int last, const QuantArgs &qa);
 
 } // namespace scalar
+
+/**
+ * SSE4.1 entries the AVX2 table shares: a 16-pel row does not fill a
+ * ymm register, so the 128-bit PSADBW / PAVGB forms are the AVX2
+ * kernels too (CMake builds the AVX2 backend only next to SSE4.1).
+ */
+namespace sse41
+{
+
+int sadRow16(const uint8_t *c, const uint8_t *r);
+int sadRow8(const uint8_t *c, const uint8_t *r);
+int sadRowHpel16(const uint8_t *c, const uint8_t *r0,
+                 const uint8_t *r1, int hx, int hy);
+int sadRowHpel8(const uint8_t *c, const uint8_t *r0, const uint8_t *r1,
+                int hx, int hy);
+int sumRow16(const uint8_t *c);
+int absDevRow16(const uint8_t *c, uint8_t mean);
+void predictRow(const uint8_t *r0, const uint8_t *r1, int hx, int hy,
+                int n, uint8_t *out);
+
+} // namespace sse41
 
 /** Per-backend table factories; defined in their own TUs. */
 const KernelOps &scalarOps();

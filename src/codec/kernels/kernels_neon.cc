@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <arm_neon.h>
 
 namespace m4ps::codec::kernels
@@ -170,12 +169,6 @@ avgRow(const uint8_t *a, const uint8_t *b, int n, uint8_t *out)
         vst1q_u8(out + i, vrhaddq_u8(vld1q_u8(a + i), vld1q_u8(b + i)));
     if (i < n)
         scalar::avgRow(a + i, b + i, n - i, out + i);
-}
-
-void
-copyRow(const uint8_t *src, int n, uint8_t *dst)
-{
-    std::memcpy(dst, src, static_cast<size_t>(n));
 }
 
 uint64_t
@@ -379,8 +372,9 @@ neonOps()
         neon::predictRow,
         neon::interpRow,
         neon::avgRow,
-        neon::copyRow,
+        scalar::copyRow,
         neon::ssdRow,
+        scalar::viterbiForward,
     };
     return ops;
 }

@@ -4,7 +4,9 @@
  * must match bit-for-bit.  These bodies are the original inner loops
  * of codec/motion.cc, codec/dct.cc, codec/quant.cc, and
  * codec/interp.cc, lifted verbatim onto raw row pointers; the callers
- * keep the memsim trace calls (kernels.hh contract 2).
+ * keep the memsim trace calls (kernels.hh contract 2).  The Viterbi
+ * forward pass is the FEC decoder's add-compare-select (fec/viterbi.hh)
+ * over a 256-entry symbol-cost map.
  */
 
 #include "codec/kernels/kernels_internal.hh"
@@ -325,6 +327,85 @@ ssdRow(const uint8_t *a, const uint8_t *b, int n)
     return acc;
 }
 
+uint64_t
+viterbiForward(const ViterbiArgs &a)
+{
+    const int states = 1 << (a.k - 1);
+    const int halfMask = (1 << (a.k - 2)) - 1;
+    // Far above any reachable metric in the first k-1 steps (at most
+    // 510 per step), far below overflow.
+    constexpr uint32_t kUnreachable = 1u << 29;
+
+    // Path metrics, swapped per step; state 0 is the known start.
+    uint32_t bufA[64], bufB[64];
+    uint32_t *cur = bufA, *nxt = bufB;
+    std::fill(cur, cur + states, kUnreachable);
+    cur[0] = 0;
+    uint64_t normalized = 0;
+
+    for (size_t t = 0; t < a.steps; ++t) {
+        const uint8_t *c0 = a.cost + 2 * a.symbols[2 * t];
+        const uint8_t *c1 = a.cost + 2 * a.symbols[2 * t + 1];
+        // Branch cost per expected pair value (g1 bit 0, g2 bit 1).
+        const uint32_t pairCost[4] = {
+            uint32_t{c0[0]} + c1[0], uint32_t{c0[1]} + c1[0],
+            uint32_t{c0[0]} + c1[1], uint32_t{c0[1]} + c1[1]};
+
+        uint64_t word = 0;
+        for (int ns = 0; ns < states; ++ns) {
+            // ns's predecessors share its low k-2 bits shifted up; its
+            // top bit is the input that led here.
+            const int u = ns >> (a.k - 2);
+            const int s0 = (ns & halfMask) << 1, s1 = s0 | 1;
+            const uint32_t m0 = cur[s0] + pairCost[a.branch[s0 * 2 + u]];
+            const uint32_t m1 = cur[s1] + pairCost[a.branch[s1 * 2 + u]];
+            if (m1 < m0) {
+                nxt[ns] = m1;
+                word |= 1ull << ns;
+            } else {
+                nxt[ns] = m0;
+            }
+        }
+        a.decisions[t] = word;
+        std::swap(cur, nxt);
+
+        // Keep metrics far from overflow.
+        if ((t & 0xfff) == 0xfff) {
+            const uint32_t lo = *std::min_element(cur, cur + states);
+            for (int s = 0; s < states; ++s)
+                cur[s] -= lo;
+            normalized += lo;
+        }
+    }
+    return normalized + cur[0];
+}
+
+void
+viterbiSimdTables(const ViterbiArgs &a, int lanes, ViterbiSimdTables &t)
+{
+    for (int r = 0; r < 256; ++r) {
+        t.first[r] = t.second[r] = 0;
+        for (int e = 0; e < 4; ++e) {
+            t.first[r] |= uint64_t{a.cost[2 * r + (e & 1)]} << (16 * e);
+            t.second[r] |= uint64_t{a.cost[2 * r + (e >> 1)]}
+                           << (16 * e);
+        }
+    }
+    uint8_t *out = t.shuffle;
+    for (int g = 0; g < 32 / lanes; ++g) {
+        for (int p = 0; p < 2; ++p) {
+            for (int u = 0; u < 2; ++u) {
+                for (int i = 0; i < lanes; ++i) {
+                    const int s = 2 * (lanes * g + i) + p;
+                    const int e = a.branch[s * 2 + u];
+                    *out++ = static_cast<uint8_t>(2 * e);
+                    *out++ = static_cast<uint8_t>(2 * e + 1);
+                }
+            }
+        }
+    }
+}
+
 } // namespace scalar
 
 const KernelOps &
@@ -347,6 +428,7 @@ scalarOps()
         scalar::avgRow,
         scalar::copyRow,
         scalar::ssdRow,
+        scalar::viterbiForward,
     };
     return ops;
 }

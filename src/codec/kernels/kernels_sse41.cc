@@ -18,6 +18,10 @@
  * (this file is compiled without -mfma, so no contraction) - and
  * rounds through the same scalar epilogue, keeping bit-identity.
  *
+ * The Viterbi forward pass narrows path metrics to int16 and
+ * renormalizes them often enough to stay exact (the argument is in
+ * docs/KERNELS.md), so decisions and the final metric match scalar.
+ *
  * Compiled with -msse4.1 only when the toolchain targets x86-64; the
  * dispatcher never installs this table unless CPUID agrees.
  */
@@ -28,7 +32,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <smmintrin.h>
 
 namespace m4ps::codec::kernels
@@ -231,12 +234,6 @@ avgRow(const uint8_t *a, const uint8_t *b, int n, uint8_t *out)
     }
     if (i < n)
         scalar::avgRow(a + i, b + i, n - i, out + i);
-}
-
-void
-copyRow(const uint8_t *src, int n, uint8_t *dst)
-{
-    std::memcpy(dst, src, static_cast<size_t>(n));
 }
 
 uint64_t
@@ -465,6 +462,82 @@ idct(const int16_t *in, int16_t *out)
     }
 }
 
+uint64_t
+viterbiForward(const ViterbiArgs &a)
+{
+    // 64 states in eight 8-lane int16 registers; smaller codes are
+    // too narrow to pay for the shuffles.
+    if (a.k != 7)
+        return scalar::viterbiForward(a);
+
+    // Butterfly group g covers ns = 8g + i and ns + 32, j = 8g + i.
+    scalar::ViterbiSimdTables tab;
+    scalar::viterbiSimdTables(a, 8, tab);
+    const auto *ctl = reinterpret_cast<const __m128i *>(tab.shuffle);
+
+    // int16 metrics stay exact: renormalizing every kRenorm steps
+    // keeps them under 3060 (6 steps x 510, the reachable spread) +
+    // kRenorm x 510, and the unreachable start stays above every
+    // reachable metric until all states are reachable (6 steps).
+    constexpr int kRenorm = 16;
+    const __m128i lo16 = _mm_set1_epi32(0xffff);
+    __m128i m[8];
+    m[0] = _mm_insert_epi16(_mm_set1_epi16(0x2000), 0, 0);
+    for (int q = 1; q < 8; ++q)
+        m[q] = _mm_set1_epi16(0x2000);
+    uint64_t normalized = 0;
+
+    for (size_t t = 0; t < a.steps; ++t) {
+        const __m128i pc = _mm_cvtsi64_si128(static_cast<long long>(
+            tab.first[a.symbols[2 * t]] +
+            tab.second[a.symbols[2 * t + 1]]));
+        __m128i nm[8];
+        __m128i dec[2][4];
+        for (int g = 0; g < 4; ++g) {
+            // Split predecessors 16g..16g+15 into even and odd.
+            const __m128i ev = _mm_packus_epi32(
+                _mm_and_si128(m[2 * g], lo16),
+                _mm_and_si128(m[2 * g + 1], lo16));
+            const __m128i od = _mm_packus_epi32(
+                _mm_srli_epi32(m[2 * g], 16),
+                _mm_srli_epi32(m[2 * g + 1], 16));
+            for (int u = 0; u < 2; ++u) {
+                const __m128i m0 = _mm_add_epi16(
+                    ev, _mm_shuffle_epi8(pc, ctl[g * 4 + u]));
+                const __m128i m1 = _mm_add_epi16(
+                    od, _mm_shuffle_epi8(pc, ctl[g * 4 + 2 + u]));
+                nm[g + 4 * u] = _mm_min_epi16(m0, m1);
+                dec[u][g] = _mm_cmpgt_epi16(m0, m1); // m1 < m0
+            }
+        }
+        uint64_t word = 0;
+        for (int u = 0; u < 2; ++u) {
+            const uint64_t lo = static_cast<uint16_t>(_mm_movemask_epi8(
+                _mm_packs_epi16(dec[u][0], dec[u][1])));
+            const uint64_t hi = static_cast<uint16_t>(_mm_movemask_epi8(
+                _mm_packs_epi16(dec[u][2], dec[u][3])));
+            word |= (lo | hi << 16) << (32 * u);
+        }
+        a.decisions[t] = word;
+        for (int q = 0; q < 8; ++q)
+            m[q] = nm[q];
+
+        if (t % kRenorm == kRenorm - 1) {
+            __m128i mn = m[0];
+            for (int q = 1; q < 8; ++q)
+                mn = _mm_min_epi16(mn, m[q]);
+            const int lo = _mm_cvtsi128_si32(_mm_minpos_epu16(mn)) &
+                           0xffff;
+            const __m128i sub = _mm_set1_epi16(static_cast<short>(lo));
+            for (int q = 0; q < 8; ++q)
+                m[q] = _mm_sub_epi16(m[q], sub);
+            normalized += static_cast<uint64_t>(lo);
+        }
+    }
+    return normalized +
+           static_cast<uint64_t>(_mm_cvtsi128_si32(m[0]) & 0xffff);
+}
+
 } // namespace sse41
 
 const KernelOps &
@@ -485,8 +558,9 @@ sse41Ops()
         sse41::predictRow,
         sse41::interpRow,
         sse41::avgRow,
-        sse41::copyRow,
+        scalar::copyRow,
         sse41::ssdRow,
+        sse41::viterbiForward,
     };
     return ops;
 }

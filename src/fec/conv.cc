@@ -52,39 +52,6 @@ nextState(const ConvCode &code, int state, int u)
 }
 
 // ------------------------------------------------------------------
-// Shift-register variant: the executable specification.
-// ------------------------------------------------------------------
-
-ShiftRegisterEncoder::ShiftRegisterEncoder(const ConvCode &code)
-    : code_(code)
-{}
-
-void
-ShiftRegisterEncoder::encodeBit(int u, std::vector<uint8_t> &out)
-{
-    const uint8_t b = branchBits(code_, state_, u);
-    out.push_back(b & 1);
-    out.push_back((b >> 1) & 1);
-    state_ = nextState(code_, state_, u);
-}
-
-void
-ShiftRegisterEncoder::encodeBits(const uint8_t *bits, size_t n,
-                                 std::vector<uint8_t> &out)
-{
-    out.reserve(out.size() + 2 * n);
-    for (size_t i = 0; i < n; ++i)
-        encodeBit(bits[i] & 1, out);
-}
-
-void
-ShiftRegisterEncoder::flush(std::vector<uint8_t> &out)
-{
-    for (int i = 0; i < code_.tailBits(); ++i)
-        encodeBit(0, out);
-}
-
-// ------------------------------------------------------------------
 // Lookup variant: one table row per (state, input byte).
 // ------------------------------------------------------------------
 

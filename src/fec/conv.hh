@@ -10,13 +10,11 @@
  * polynomial.  The default is the ubiquitous K=7 {171, 133} (octal)
  * code (Voyager, 802.11, DVB), decoded by fec::ViterbiDecoder.
  *
- * Two encoder variants share one definition of the code (mirroring
- * the ViterbiDecoderCpp exemplar's shift-register and lookup
- * encoders): the shift-register form clocks one bit at a time and is
- * the executable specification; the lookup form precomputes, per
- * (state, input byte), the 16 output bits and the next state, and is
- * what the framing layer uses on whole-byte payloads.  Both produce
- * identical output by construction and by test (tests/test_fec.cc).
+ * The code is defined once, by branchBits() and nextState(); the
+ * lookup encoder precomputes from them, per (state, input byte), the
+ * 16 output bits and the next state, which is what the framing layer
+ * uses on whole-byte payloads.  tests/test_fec.cc keeps a bit-serial
+ * shift-register encoder as the oracle the lookup encoder must match.
  */
 
 #ifndef M4PS_FEC_CONV_HH
@@ -64,28 +62,6 @@ uint8_t branchBits(const ConvCode &code, int state, int u);
 
 /** Successor state of @p state on input bit @p u. */
 int nextState(const ConvCode &code, int state, int u);
-
-/**
- * Bit-serial reference encoder.  Feed bits (values 0/1); every input
- * bit appends its g1 then g2 parity to the output.  flush() appends
- * the k-1 zero tail returning the register to state 0.
- */
-class ShiftRegisterEncoder
-{
-  public:
-    explicit ShiftRegisterEncoder(const ConvCode &code);
-
-    void reset() { state_ = 0; }
-    void encodeBit(int u, std::vector<uint8_t> &out);
-    void encodeBits(const uint8_t *bits, size_t n,
-                    std::vector<uint8_t> &out);
-    void flush(std::vector<uint8_t> &out);
-    int state() const { return state_; }
-
-  private:
-    ConvCode code_;
-    int state_ = 0;
-};
 
 /**
  * Byte-at-a-time lookup encoder: one table row per (state, byte)

@@ -174,6 +174,7 @@ parseLayout(const std::vector<uint8_t> &framed)
 std::vector<uint8_t>
 protect(const std::vector<uint8_t> &stream, const FecConfig &cfg)
 {
+    obs::Span span("fec", "fec.protect");
     const size_t cleartext = codec::protectableHeaderBytes(stream);
     const auto sections = codec::parseSections(stream);
 
@@ -241,12 +242,18 @@ protect(const std::vector<uint8_t> &stream, const FecConfig &cfg)
     for (int i = 0; i < 4; ++i)
         out[kOffHeaderCrc + i] =
             static_cast<uint8_t>((crc >> (8 * i)) & 0xff);
+    if (span.active())
+        span.setArgs("{\"blocks\":" + std::to_string(blockCount) +
+                     ",\"payload_bits\":" +
+                     std::to_string(8 * (stream.size() - cleartext)) +
+                     "}");
     return out;
 }
 
 RecoverResult
 recover(const std::vector<uint8_t> &framed)
 {
+    obs::Span span("fec", "fec.recover");
     RecoverResult res;
     const FrameLayout lay = parseLayout(framed);
     if (!lay.headerOk) {
@@ -369,6 +376,12 @@ recover(const std::vector<uint8_t> &framed)
         obs::counter(base + ".corrected").add(e.corrected);
         obs::counter(base + ".uncorrectable").add(e.uncorrectable);
     }
+    if (span.active())
+        span.setArgs(
+            "{\"blocks\":" + std::to_string(res.stats.blocks) +
+            ",\"payload_bits\":" +
+            std::to_string(8 * (res.stream.size() - lay.cleartextLen)) +
+            "}");
     return res;
 }
 

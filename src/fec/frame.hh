@@ -4,9 +4,10 @@
  *
  * This is where the coding-theory pieces (fec/conv.hh, fec/viterbi.hh,
  * fec/puncture.hh, fec/interleave.hh) meet the elementary stream.
- * protect() splits a stream at its startcode-delimited sections (the
- * resync video packets of docs/RESILIENCE.md) and wraps each section
- * as one independently decodable FEC block:
+ * protect() splits a stream at its startcode-delimited sections and
+ * wraps each section as one independently decodable FEC block.  Resync
+ * markers (docs/RESILIENCE.md) are not startcodes, so a VOP is one
+ * block however many video packets it holds:
  *
  *     frame  := header(24) | cleartext | block*
  *     block  := sectionCode(1) vopIndex(2 LE) payloadBytes(4 LE)

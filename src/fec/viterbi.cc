@@ -1,8 +1,6 @@
 #include "fec/viterbi.hh"
 
-#include <algorithm>
-#include <limits>
-
+#include "codec/kernels/kernels.hh"
 #include "support/logging.hh"
 
 namespace m4ps::fec
@@ -29,24 +27,25 @@ ViterbiDecoder::ViterbiDecoder(const ConvCode &code) : code_(code)
 namespace
 {
 
-/** Soft cost of receiving @p r where bit @p e was expected. */
-inline uint32_t
-softCost(int e, uint8_t r)
+/**
+ * cost[r * 2 + e] of receiving symbol r when bit e was sent.  Soft:
+ * the offset-LLR distance (r, 255 - r).  Hard: quantize to a bit and
+ * count a mismatch, so an erasure (128) costs 0 either way.
+ */
+struct CostMap
 {
-    return e ? static_cast<uint32_t>(255 - r)
-             : static_cast<uint32_t>(r);
-}
+    uint8_t cost[512];
 
-/** Hard cost: quantize to a bit, erasures are free for either. */
-inline uint32_t
-hardCost(int e, uint8_t r)
-{
-    if (r == kSymErased)
-        return 0;
-    return (r > kSymErased ? 1 : 0) != e ? 1u : 0u;
-}
-
-constexpr uint32_t kUnreachable = 1u << 29;
+    explicit CostMap(Decision d)
+    {
+        for (int r = 0; r < 256; ++r) {
+            cost[2 * r] = static_cast<uint8_t>(
+                d == Decision::Soft ? r : r > kSymErased);
+            cost[2 * r + 1] = static_cast<uint8_t>(
+                d == Decision::Soft ? 255 - r : r < kSymErased);
+        }
+    }
+};
 
 } // namespace
 
@@ -54,71 +53,28 @@ ViterbiResult
 ViterbiDecoder::decode(const uint8_t *symbols, size_t nInfoBits,
                        Decision decision) const
 {
+    static const CostMap soft(Decision::Soft), hard(Decision::Hard);
     const int k = code_.k;
-    const int states = code_.numStates();
     const int halfMask = (1 << (k - 2)) - 1;
     const size_t steps = nInfoBits + static_cast<size_t>(
                                          code_.tailBits());
 
-    // Path metrics, swapped per step; state 0 is the known start.
-    std::vector<uint32_t> cur(static_cast<size_t>(states),
-                              kUnreachable);
-    std::vector<uint32_t> nxt(static_cast<size_t>(states));
-    cur[0] = 0;
-    uint64_t normalized = 0;
-
     // One decision word per step: bit ns records which predecessor
     // (by its low bit, the oldest register bit) won state ns.
     std::vector<uint64_t> decisions(steps, 0);
+    codec::kernels::ViterbiArgs args;
+    args.k = k;
+    args.branch = branch_.data();
+    args.cost = (decision == Decision::Soft ? soft : hard).cost;
+    args.symbols = symbols;
+    args.steps = steps;
+    args.decisions = decisions.data();
 
-    for (size_t t = 0; t < steps; ++t) {
-        const uint8_t r0 = symbols[2 * t];
-        const uint8_t r1 = symbols[2 * t + 1];
-
-        // Branch cost per expected pair value (4 possibilities).
-        uint32_t pairCost[4];
-        for (int e = 0; e < 4; ++e) {
-            const int e0 = e & 1, e1 = (e >> 1) & 1;
-            pairCost[e] = decision == Decision::Soft
-                              ? softCost(e0, r0) + softCost(e1, r1)
-                              : hardCost(e0, r0) + hardCost(e1, r1);
-        }
-
-        uint64_t word = 0;
-        for (int ns = 0; ns < states; ++ns) {
-            const int u = ns >> (k - 2);
-            const int base = (ns & halfMask) << 1;
-            const int s0 = base, s1 = base | 1;
-            const uint32_t m0 =
-                cur[s0] + pairCost[branch_[s0 * 2 + u]];
-            const uint32_t m1 =
-                cur[s1] + pairCost[branch_[s1 * 2 + u]];
-            if (m1 < m0) {
-                nxt[ns] = m1;
-                word |= 1ull << ns;
-            } else {
-                nxt[ns] = m0;
-            }
-        }
-        decisions[t] = word;
-        cur.swap(nxt);
-
-        // Keep metrics far from overflow (max step increment 510).
-        if ((t & 0xfff) == 0xfff) {
-            const uint32_t lo =
-                *std::min_element(cur.begin(), cur.end());
-            if (lo > 0) {
-                for (auto &m : cur)
-                    m -= lo;
-                normalized += lo;
-            }
-        }
-    }
+    ViterbiResult res;
+    res.pathMetric = codec::kernels::active().viterbiForward(args);
 
     // Traceback from the flushed state 0.  Each state carries its
     // newest register bit at the top, which *is* the decoded input.
-    ViterbiResult res;
-    res.pathMetric = normalized + cur[0];
     std::vector<uint8_t> all(steps);
     int state = 0;
     for (size_t t = steps; t-- > 0;) {

@@ -19,7 +19,12 @@
  * The *hard* path quantizes each symbol to {0, 1, erased} and counts
  * Hamming distance; the *soft* path accumulates the full quantized
  * magnitudes, which is what buys the classic ~2 dB over hard decision
- * on the AWGN channel (bench_resilience_ber_sweep measures it).
+ * on the AWGN channel (bench_resilience_ber_sweep measures it).  Both
+ * are one 256-entry symbol-cost map into the same add-compare-select
+ * kernel, the viterbiForward entry of the codec kernel dispatch table
+ * (docs/KERNELS.md): scalar, or int16 butterflies on SSE4.1 / AVX2,
+ * bit-identical in decoded bits and path metric.  The traceback stays
+ * here.
  */
 
 #ifndef M4PS_FEC_VITERBI_HH
@@ -60,7 +65,8 @@ struct ViterbiResult
 
 /**
  * Decoder for one ConvCode.  Construction precomputes the branch
- * table; decode() may be called any number of times.
+ * table; decode() may be called any number of times and runs on the
+ * active kernel backend.
  */
 class ViterbiDecoder
 {

@@ -6,6 +6,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "support/obs/obs.hh"
 #include "support/serialize.hh"
 
 namespace m4ps::service
@@ -28,6 +29,7 @@ checkpointPath(const std::string &output)
 void
 saveCheckpoint(const std::string &path, const Checkpoint &c)
 {
+    obs::Span span("service", "ckpt.save");
     support::StateWriter sw;
     sw.u32(kMagic);
     sw.u32(kVersion);
@@ -35,6 +37,14 @@ saveCheckpoint(const std::string &path, const Checkpoint &c)
     sw.i32(c.nextFrame);
     sw.bytes(c.state.data(), c.state.size());
     sw.u32(support::crc32(c.state.data(), c.state.size()));
+
+    obs::Span fsyncSpan("service", "ckpt.fsync");
+    if (span.active()) {
+        const std::string args =
+            "{\"bytes\":" + std::to_string(sw.buffer().size()) + "}";
+        span.setArgs(args);
+        fsyncSpan.setArgs(args);
+    }
 
     // Durability: write the temp file, fsync it, then rename.  A
     // rename alone orders the *name* change, not the data - after a

@@ -127,17 +127,62 @@ StateReader::expect(uint8_t marker, const char *what)
                              ", want " + std::to_string(marker));
 }
 
+namespace
+{
+
+/**
+ * Slice-by-8 tables for the reflected CRC-32 (polynomial 0xEDB88320):
+ * t[0] is the classic byte table, and t[k][b] is the CRC of byte b
+ * followed by k zero bytes, so eight table reads fold eight input
+ * bytes at once.
+ */
+struct Crc32Tables
+{
+    uint32_t t[8][256] = {};
+
+    constexpr Crc32Tables()
+    {
+        for (uint32_t b = 0; b < 256; ++b) {
+            uint32_t c = b;
+            for (int k = 0; k < 8; ++k)
+                c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
+            t[0][b] = c;
+        }
+        for (int k = 1; k < 8; ++k) {
+            for (int b = 0; b < 256; ++b)
+                t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xff];
+        }
+    }
+};
+
+constexpr Crc32Tables kCrc32;
+
+inline uint32_t
+loadLe32(const uint8_t *p)
+{
+    return static_cast<uint32_t>(p[0]) |
+           (static_cast<uint32_t>(p[1]) << 8) |
+           (static_cast<uint32_t>(p[2]) << 16) |
+           (static_cast<uint32_t>(p[3]) << 24);
+}
+
+} // namespace
+
 uint32_t
 crc32(const uint8_t *data, size_t n)
 {
-    // Bitwise (slow but table-free) reflected CRC-32; checkpoints are
-    // megabytes at most and written once per frame.
+    const auto &t = kCrc32.t;
     uint32_t crc = 0xffffffffu;
-    for (size_t i = 0; i < n; ++i) {
-        crc ^= data[i];
-        for (int k = 0; k < 8; ++k)
-            crc = (crc >> 1) ^ (0xedb88320u & (0u - (crc & 1u)));
+    for (; n >= 8; data += 8, n -= 8) {
+        const uint32_t lo = loadLe32(data) ^ crc;
+        const uint32_t hi = loadLe32(data + 4);
+        crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+              t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^
+              t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
     }
+    for (; n > 0; ++data, --n)
+        crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xff];
     return crc ^ 0xffffffffu;
 }
 

@@ -105,7 +105,7 @@ class StateReader
     size_t pos_ = 0;
 };
 
-/** CRC-32 (IEEE 802.3 polynomial) of a byte run. */
+/** CRC-32 (IEEE 802.3 polynomial, reflected; slice-by-8) of a byte run. */
 uint32_t crc32(const uint8_t *data, size_t n);
 
 /** FNV-1a 64-bit hash of a string (config fingerprints). */

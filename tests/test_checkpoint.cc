@@ -141,7 +141,13 @@ class CheckpointFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = testing::TempDir() + "m4ps_ckpt_test.bin";
+        // One file per test: ctest runs these tests as concurrent
+        // processes, which must not share a sidecar.
+        path_ = testing::TempDir() + "m4ps_ckpt_test_" +
+                testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                ".bin";
         std::remove(path_.c_str());
     }
 

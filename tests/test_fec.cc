@@ -1,9 +1,10 @@
 /**
  * @file
- * Forward-error-correction subsystem: the convolutional encoder
- * variants must agree with each other and with the published K=7
+ * Forward-error-correction subsystem: the lookup encoder must agree
+ * with a bit-serial shift-register oracle and with the published K=7
  * {171, 133} code, the Viterbi decoder must be exact on a clean
- * channel and actually correct errors on a dirty one, puncturing and
+ * channel, actually correct errors on a dirty one, and decode the same
+ * bits and path metric on every kernel backend, puncturing and
  * interleaving must be lossless permutations of what they promise,
  * and the framing layer must round-trip an elementary stream
  * byte-identically - then degrade into the concealment path, never an
@@ -12,8 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "codec/decoder.hh"
 #include "codec/faultinject.hh"
+#include "codec/kernels/kernels.hh"
 #include "core/runner.hh"
 #include "core/workload.hh"
 #include "fec/conv.hh"
@@ -21,6 +27,7 @@
 #include "fec/interleave.hh"
 #include "fec/puncture.hh"
 #include "fec/viterbi.hh"
+#include "kernel_backends.hh"
 #include "support/obs/obs.hh"
 #include "support/random.hh"
 
@@ -28,6 +35,8 @@ namespace m4ps::fec
 {
 namespace
 {
+
+namespace kn = codec::kernels;
 
 std::vector<uint8_t>
 randomBytes(size_t n, uint64_t seed)
@@ -48,6 +57,38 @@ bitsToSymbols(const std::vector<uint8_t> &bits)
         syms[i] = bits[i] ? kSymOne : kSymZero;
     return syms;
 }
+
+/**
+ * Bit-serial reference encoder: the executable specification of the
+ * code that LookupEncoder must match.  Every input bit appends its
+ * g1 then g2 parity; flush() appends the k-1 zero tail returning the
+ * register to state 0.
+ */
+class ShiftRegisterEncoder
+{
+  public:
+    explicit ShiftRegisterEncoder(const ConvCode &code) : code_(code) {}
+
+    void encodeBit(int u, std::vector<uint8_t> &out)
+    {
+        const uint8_t b = branchBits(code_, state_, u);
+        out.push_back(b & 1);
+        out.push_back((b >> 1) & 1);
+        state_ = nextState(code_, state_, u);
+    }
+
+    void flush(std::vector<uint8_t> &out)
+    {
+        for (int i = 0; i < code_.tailBits(); ++i)
+            encodeBit(0, out);
+    }
+
+    int state() const { return state_; }
+
+  private:
+    ConvCode code_;
+    int state_ = 0;
+};
 
 core::Workload
 resyncWorkload(int frames = 4, bool dp = false)
@@ -249,6 +290,119 @@ TEST(Viterbi, ErasuresDecodeAtEveryRate)
             }
         }
     }
+}
+
+using testing_kernels::ScopedKernels;
+using testing_kernels::simdBackends;
+
+/** Every code ConvCode::valid() accepts, k = 3..7. */
+std::vector<ConvCode>
+allValidCodes()
+{
+    std::vector<ConvCode> out;
+    for (int k = 3; k <= 7; ++k) {
+        for (int g1 = 1; g1 < (1 << k); ++g1) {
+            for (int g2 = 1; g2 < (1 << k); ++g2) {
+                const ConvCode c(k, static_cast<uint8_t>(g1),
+                                 static_cast<uint8_t>(g2));
+                if (c.valid())
+                    out.push_back(c);
+            }
+        }
+    }
+    return out;
+}
+
+/** Named symbol blocks of 2 * (nInfo + tail) symbols each. */
+std::vector<std::pair<std::string, std::vector<uint8_t>>>
+symbolBlocks(const ConvCode &code, size_t nInfo, uint64_t seed)
+{
+    const size_t n = 2 * (nInfo + static_cast<size_t>(code.tailBits()));
+    Rng rng(seed);
+    std::vector<uint8_t> soft(n), hard(n), noisy(n);
+    for (size_t i = 0; i < n; ++i) {
+        soft[i] = static_cast<uint8_t>(rng.next());
+        const int v = static_cast<int>(rng.uniformInt(0, 2));
+        hard[i] = v == 0 ? kSymZero : v == 1 ? kSymOne : kSymErased;
+    }
+    // A codeword through a noisy channel, with erasures: the decoder's
+    // working regime, where survivors stay close in metric.
+    const auto payload = randomBytes((nInfo + 7) / 8, seed + 1);
+    const auto coded = convEncodeBytes(code, payload.data(),
+                                       payload.size());
+    for (size_t i = 0; i < n; ++i) {
+        const int x = i < coded.size() && coded[i] ? 192 : 64;
+        const int v = x + static_cast<int>(rng.uniformInt(-96, 96));
+        noisy[i] = rng.chance(0.05) ? kSymErased
+                                    : static_cast<uint8_t>(
+                                          std::clamp(v, 0, 255));
+    }
+    return {{"random", soft},
+            {"ternary", hard},
+            {"noisy", noisy},
+            {"erased", std::vector<uint8_t>(n, kSymErased)},
+            {"zeros", std::vector<uint8_t>(n, 0)},
+            {"ones", std::vector<uint8_t>(n, 255)}};
+}
+
+/** Decodes every block under scalar and each SIMD backend. */
+void
+expectBackendsMatchScalar(const ConvCode &code, size_t nInfo,
+                          uint64_t seed)
+{
+    const ViterbiDecoder dec(code);
+    for (const auto &[name, syms] : symbolBlocks(code, nInfo, seed)) {
+        for (Decision d : {Decision::Hard, Decision::Soft}) {
+            ViterbiResult want;
+            {
+                ScopedKernels pin(kn::Isa::Scalar);
+                want = dec.decode(syms.data(), nInfo, d);
+            }
+            for (kn::Isa isa : simdBackends()) {
+                ScopedKernels pin(isa);
+                const ViterbiResult got =
+                    dec.decode(syms.data(), nInfo, d);
+                ASSERT_EQ(got.pathMetric, want.pathMetric)
+                    << kn::isaName(isa) << " k=" << code.k << " g1=0"
+                    << std::oct << int{code.g1} << " g2=0"
+                    << int{code.g2} << std::dec << " " << name << " "
+                    << decisionName(d);
+                ASSERT_EQ(got.bits, want.bits)
+                    << kn::isaName(isa) << " k=" << code.k << " "
+                    << name << " " << decisionName(d);
+            }
+        }
+    }
+}
+
+TEST(Viterbi, EveryBackendMatchesScalarOnEveryCode)
+{
+    if (simdBackends().empty())
+        GTEST_SKIP() << "no SIMD backend on this host";
+    const auto codes = allValidCodes();
+    ASSERT_EQ(codes.size(), 2u + 12u + 56u + 240u + 992u);
+    uint64_t seed = 100;
+    for (const ConvCode &code : codes)
+        expectBackendsMatchScalar(code, 61, seed++);
+}
+
+TEST(Viterbi, EveryBackendMatchesScalarAcrossRenormalization)
+{
+    // Longer than 4096 steps, so the scalar backend's periodic
+    // renormalization runs as well as the SIMD backends'.
+    if (simdBackends().empty())
+        GTEST_SKIP() << "no SIMD backend on this host";
+    std::vector<ConvCode> codes = {ConvCode(), ConvCode(7, 0133, 0171)};
+    for (int k = 3; k <= 6; ++k) {
+        for (const ConvCode &c : allValidCodes()) {
+            if (c.k == k) {
+                codes.push_back(c);
+                break;
+            }
+        }
+    }
+    for (const ConvCode &code : codes)
+        expectBackendsMatchScalar(code, 4400, 7);
 }
 
 // ------------------------------------------------------------------
@@ -480,6 +634,41 @@ TEST(FecFrame, ChannelsAreDeterministic)
     // And recovery itself is a pure function of its input.
     const auto n = channelHard(framedH, spec);
     EXPECT_EQ(recover(n).stream, recover(n).stream);
+}
+
+TEST(FecFrame, StatsAreBackendInvariant)
+{
+    // Recovery runs on the active kernel backend; the stream and every
+    // statistic, corrected-bit count included, must not depend on it.
+    const auto stream =
+        core::ExperimentRunner::encodeUntraced(resyncWorkload(4));
+    FecConfig cfg;
+    cfg.decision = Decision::Soft;
+    const auto noisy = channelSoft(protect(stream, cfg), 3.0, 17);
+    RecoverResult want;
+    {
+        ScopedKernels pin(kn::Isa::Scalar);
+        want = recover(noisy);
+    }
+    ASSERT_GT(want.stats.correctedBits, 0u);
+    for (kn::Isa isa : simdBackends()) {
+        ScopedKernels pin(isa);
+        const RecoverResult got = recover(noisy);
+        EXPECT_EQ(got.stream, want.stream) << kn::isaName(isa);
+        EXPECT_EQ(got.stats.blocks, want.stats.blocks);
+        EXPECT_EQ(got.stats.blocksCorrected, want.stats.blocksCorrected);
+        EXPECT_EQ(got.stats.blocksUncorrectable,
+                  want.stats.blocksUncorrectable);
+        EXPECT_EQ(got.stats.correctedBits, want.stats.correctedBits)
+            << kn::isaName(isa);
+        ASSERT_EQ(got.stats.perVop.size(), want.stats.perVop.size());
+        for (size_t i = 0; i < want.stats.perVop.size(); ++i) {
+            EXPECT_EQ(got.stats.perVop[i].corrected,
+                      want.stats.perVop[i].corrected);
+            EXPECT_EQ(got.stats.perVop[i].uncorrectable,
+                      want.stats.perVop[i].uncorrectable);
+        }
+    }
 }
 
 TEST(FecFrame, UncorrectableBlocksFallThroughToConcealment)

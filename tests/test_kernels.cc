@@ -23,6 +23,7 @@
 #include "core/runner.hh"
 #include "core/workload.hh"
 #include "memsim/counters.hh"
+#include "kernel_backends.hh"
 
 namespace m4ps
 {
@@ -31,31 +32,8 @@ namespace
 
 namespace kn = codec::kernels;
 
-/** Restores the previously active backend when a test returns. */
-class ScopedKernels
-{
-  public:
-    explicit ScopedKernels(kn::Isa isa) : prev_(kn::activeIsa())
-    {
-        kn::select(kn::isaName(isa));
-    }
-    ~ScopedKernels() { kn::select(kn::isaName(prev_)); }
-
-  private:
-    kn::Isa prev_;
-};
-
-/** Backends other than scalar this host can actually run. */
-std::vector<kn::Isa>
-simdBackends()
-{
-    std::vector<kn::Isa> out;
-    for (kn::Isa isa : kn::compiledIsas()) {
-        if (isa != kn::Isa::Scalar && kn::hostSupports(isa))
-            out.push_back(isa);
-    }
-    return out;
-}
+using testing_kernels::ScopedKernels;
+using testing_kernels::simdBackends;
 
 TEST(KernelDispatch, ScalarIsAlwaysCompiledAndSupported)
 {
