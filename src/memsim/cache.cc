@@ -41,66 +41,54 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     const uint64_t sets = config_.numSets();
     setShift_ = std::countr_zero(sets);
     setMask_ = sets - 1;
+    // A tag keeps at most 64 - lineShift_ - setShift_ bits, so with
+    // any shift at all no tag can equal the invalid sentinel.
+    M4PS_ASSERT(lineShift_ + setShift_ > 0,
+                "a one-set cache needs lines of at least two bytes");
     ways_.resize(sets * config_.assoc);
-}
-
-AccessResult
-Cache::touch(uint64_t addr, bool is_write, bool count_as_use)
-{
-    const uint64_t line = lineAddr(addr);
-    const uint64_t set = setIndex(line);
-    const uint64_t tag = tagOf(line);
-    Way *base = &ways_[set * config_.assoc];
-    ++tick_;
-
-    // Hit path first: tag match over the set's ways.
-    for (int w = 0; w < config_.assoc; ++w) {
-        Way &way = base[w];
-        if (way.valid && way.tag == tag) {
-            if (count_as_use)
-                way.lastUse = tick_;
-            way.dirty = way.dirty || is_write;
-            return {true, false, 0};
-        }
-    }
-
-    // Miss: fill an invalid way if one exists, else evict true LRU.
-    Way *victim = nullptr;
-    for (int w = 0; w < config_.assoc; ++w) {
-        Way &way = base[w];
-        if (!way.valid) {
-            victim = &way;
-            break;
-        }
-        if (!victim || way.lastUse < victim->lastUse)
-            victim = &way;
-    }
-
-    AccessResult res;
-    res.hit = false;
-    if (victim->valid && victim->dirty) {
-        res.evictedDirty = true;
-        res.evictedAddr = ((victim->tag << setShift_) | set) << lineShift_;
-    }
-    victim->valid = true;
-    victim->tag = tag;
-    victim->dirty = is_write;
-    victim->lastUse = tick_;
-    return res;
 }
 
 AccessResult
 Cache::access(uint64_t addr, bool is_write)
 {
-    return touch(addr, is_write, true);
+    const uint64_t line = lineAddr(addr);
+    const uint64_t set = setIndex(line);
+    const uint64_t tag = tagOf(line);
+    Way *base = &ways_[set * config_.assoc];
+
+    // Hit: move the way to the front, shifting the more recently
+    // used ways back by one.
+    for (int w = 0; w < config_.assoc; ++w) {
+        if (base[w].tag == tag) {
+            Way hit = base[w];
+            hit.dirty = hit.dirty || is_write;
+            for (; w > 0; --w)
+                base[w] = base[w - 1];
+            base[0] = hit;
+            return {true, false, 0};
+        }
+    }
+
+    // Miss: the last way is the LRU line, or an invalid way when the
+    // set is not yet full (valid ways always form a prefix).
+    const Way &victim = base[config_.assoc - 1];
+    AccessResult res;
+    if (victim.tag != kInvalidTag && victim.dirty) {
+        res.evictedDirty = true;
+        res.evictedAddr = ((victim.tag << setShift_) | set) << lineShift_;
+    }
+    for (int w = config_.assoc - 1; w > 0; --w)
+        base[w] = base[w - 1];
+    base[0] = {tag, is_write};
+    return res;
 }
 
 AccessResult
 Cache::fill(uint64_t addr, bool is_write)
 {
-    // A prefetch fill installs the line but gives it LRU age as if
-    // freshly used; hardware typically inserts prefetches at MRU.
-    return touch(addr, is_write, true);
+    // A prefetch fill installs the line at MRU, as if freshly used;
+    // hardware typically inserts prefetches there.
+    return access(addr, is_write);
 }
 
 bool
@@ -111,7 +99,7 @@ Cache::probe(uint64_t addr) const
     const uint64_t tag = tagOf(line);
     const Way *base = &ways_[set * config_.assoc];
     for (int w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
+        if (base[w].tag == tag)
             return true;
     }
     return false;
@@ -122,7 +110,6 @@ Cache::reset()
 {
     for (auto &w : ways_)
         w = Way{};
-    tick_ = 0;
 }
 
 uint64_t
@@ -130,7 +117,7 @@ Cache::validLines() const
 {
     uint64_t n = 0;
     for (const auto &w : ways_)
-        n += w.valid ? 1 : 0;
+        n += w.tag != kInvalidTag ? 1 : 0;
     return n;
 }
 

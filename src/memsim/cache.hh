@@ -6,6 +6,13 @@
  * 2-way, 32-byte lines) and the board-level secondary cache (1/2/8 MB,
  * 2-way, 128-byte lines).  The model is trace-driven and stateful:
  * tags, per-line dirty bits, and true-LRU replacement per set.
+ *
+ * Each set keeps its ways in recency order, most recently used
+ * first: a hit moves its way to the front, a miss drops the last way
+ * (the LRU victim) and installs the new line at the front.  That is
+ * exactly true LRU without a per-way timestamp, and it puts the line
+ * a blocked codec is most likely to touch next in way 0, where
+ * hitMru() finds it with one tag compare.
  */
 
 #ifndef M4PS_MEMSIM_CACHE_HH
@@ -59,6 +66,23 @@ class Cache
      */
     AccessResult access(uint64_t addr, bool is_write);
 
+    /**
+     * Fast path of access(): true, with the same effect, when the
+     * line containing @p addr is its set's most recently used line
+     * (a hit that leaves the recency order as it is).  False, with
+     * no state change, otherwise; the caller then calls access().
+     */
+    bool
+    hitMru(uint64_t addr, bool is_write)
+    {
+        const uint64_t line = lineAddr(addr);
+        Way &mru = ways_[setIndex(line) * config_.assoc];
+        if (mru.tag != tagOf(line))
+            return false;
+        mru.dirty = mru.dirty || is_write;
+        return true;
+    }
+
     /** True if the line containing @p addr is present (no state change). */
     bool probe(uint64_t addr) const;
 
@@ -78,11 +102,12 @@ class Cache
     uint64_t validLines() const;
 
   private:
+    /** Tag of an invalid way; no line address shifts down to it. */
+    static constexpr uint64_t kInvalidTag = ~uint64_t{0};
+
     struct Way
     {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        bool valid = false;
+        uint64_t tag = kInvalidTag;
         bool dirty = false;
     };
 
@@ -90,14 +115,12 @@ class Cache
     uint64_t setIndex(uint64_t line) const { return line & setMask_; }
     uint64_t tagOf(uint64_t line) const { return line >> setShift_; }
 
-    AccessResult touch(uint64_t addr, bool is_write, bool count_as_use);
-
     CacheConfig config_;
     int lineShift_;
     int setShift_;
     uint64_t setMask_;
-    uint64_t tick_ = 0;
-    std::vector<Way> ways_;      //!< sets * assoc, row-major by set.
+    /** sets * assoc, row-major by set; each set MRU first. */
+    std::vector<Way> ways_;
 };
 
 } // namespace m4ps::memsim

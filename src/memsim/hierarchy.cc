@@ -7,14 +7,6 @@
 namespace m4ps::memsim
 {
 
-namespace
-{
-
-/** Recording target of the current thread (null = simulate now). */
-thread_local TraceShard *tlsShard = nullptr;
-
-} // namespace
-
 MemoryHierarchy::MemoryHierarchy(const CacheConfig &l1,
                                  const CacheConfig &l2,
                                  const CostModel &cost)
@@ -23,18 +15,6 @@ MemoryHierarchy::MemoryHierarchy(const CacheConfig &l1,
 {
     M4PS_ASSERT(l2.lineBytes >= l1.lineBytes,
                 "L2 line must not be smaller than L1 line");
-}
-
-void
-MemoryHierarchy::bindShard(TraceShard *shard)
-{
-    tlsShard = shard;
-}
-
-TraceShard *
-MemoryHierarchy::boundShard()
-{
-    return tlsShard;
 }
 
 void
@@ -50,7 +30,7 @@ MemoryHierarchy::writebackToL2(uint64_t addr)
 }
 
 void
-MemoryHierarchy::touchLine(uint64_t addr, bool is_write)
+MemoryHierarchy::touchLineSlow(uint64_t addr, bool is_write)
 {
     AccessResult r1 = l1_.access(addr, is_write);
     if (r1.hit)
@@ -69,56 +49,6 @@ MemoryHierarchy::touchLine(uint64_t addr, bool is_write)
 
     if (r1.evictedDirty)
         writebackToL2(r1.evictedAddr);
-}
-
-void
-MemoryHierarchy::loadNow(uint64_t addr, int bytes)
-{
-    ++ctrs_.gradLoads;
-    ctrs_.computeCycles += cost_.cyclesPerAccess;
-    touchLine(addr, false);
-    const uint64_t last = addr + bytes - 1;
-    if ((last & l1LineMask_) != (addr & l1LineMask_))
-        touchLine(last, false);
-}
-
-void
-MemoryHierarchy::storeNow(uint64_t addr, int bytes)
-{
-    ++ctrs_.gradStores;
-    ctrs_.computeCycles += cost_.cyclesPerAccess;
-    touchLine(addr, true);
-    const uint64_t last = addr + bytes - 1;
-    if ((last & l1LineMask_) != (addr & l1LineMask_))
-        touchLine(last, true);
-}
-
-void
-MemoryHierarchy::loadRowNow(uint64_t addr, uint64_t bytes,
-                            uint64_t elems)
-{
-    if (bytes == 0)
-        return;
-    ctrs_.gradLoads += elems;
-    ctrs_.computeCycles += cost_.cyclesPerAccess * elems;
-    const uint64_t line = l1_.config().lineBytes;
-    const uint64_t end = addr + bytes;
-    for (uint64_t a = addr & l1LineMask_; a < end; a += line)
-        touchLine(a, false);
-}
-
-void
-MemoryHierarchy::storeRowNow(uint64_t addr, uint64_t bytes,
-                             uint64_t elems)
-{
-    if (bytes == 0)
-        return;
-    ctrs_.gradStores += elems;
-    ctrs_.computeCycles += cost_.cyclesPerAccess * elems;
-    const uint64_t line = l1_.config().lineBytes;
-    const uint64_t end = addr + bytes;
-    for (uint64_t a = addr & l1LineMask_; a < end; a += line)
-        touchLine(a, true);
 }
 
 void
@@ -141,82 +71,30 @@ MemoryHierarchy::prefetchNow(uint64_t addr)
 }
 
 void
-MemoryHierarchy::load(uint64_t addr, int bytes)
+MemoryHierarchy::record(TraceShard::OpKind kind, uint64_t addr,
+                        uint64_t bytes, uint64_t elems)
 {
-    if (TraceShard *s = tlsShard) {
-        s->ops_.push_back({addr, static_cast<uint32_t>(bytes),
-                           (1u << 3) | TraceShard::kOpLoad});
-        ++s->tallies_.gradLoads;
-        s->tallies_.computeCycles += cost_.cyclesPerAccess;
-        return;
-    }
-    loadNow(addr, bytes);
-}
-
-void
-MemoryHierarchy::store(uint64_t addr, int bytes)
-{
-    if (TraceShard *s = tlsShard) {
-        s->ops_.push_back({addr, static_cast<uint32_t>(bytes),
-                           (1u << 3) | TraceShard::kOpStore});
-        ++s->tallies_.gradStores;
-        s->tallies_.computeCycles += cost_.cyclesPerAccess;
-        return;
-    }
-    storeNow(addr, bytes);
-}
-
-void
-MemoryHierarchy::loadRow(uint64_t addr, uint64_t bytes, uint64_t elems)
-{
-    if (TraceShard *s = tlsShard) {
-        s->ops_.push_back(
-            {addr, static_cast<uint32_t>(bytes),
-             (static_cast<uint32_t>(elems) << 3) | TraceShard::kOpLoadRow});
-        s->tallies_.gradLoads += elems;
-        s->tallies_.computeCycles += cost_.cyclesPerAccess * elems;
-        return;
-    }
-    loadRowNow(addr, bytes, elems);
-}
-
-void
-MemoryHierarchy::storeRow(uint64_t addr, uint64_t bytes, uint64_t elems)
-{
-    if (TraceShard *s = tlsShard) {
-        s->ops_.push_back(
-            {addr, static_cast<uint32_t>(bytes),
-             (static_cast<uint32_t>(elems) << 3) |
-                 TraceShard::kOpStoreRow});
-        s->tallies_.gradStores += elems;
-        s->tallies_.computeCycles += cost_.cyclesPerAccess * elems;
-        return;
-    }
-    storeRowNow(addr, bytes, elems);
+    tlsShard_->ops_.push_back({addr, static_cast<uint32_t>(bytes),
+                               (static_cast<uint32_t>(elems) << 3) |
+                                   kind});
 }
 
 void
 MemoryHierarchy::prefetch(uint64_t addr)
 {
-    if (TraceShard *s = tlsShard) {
-        s->ops_.push_back({addr, 0, (1u << 3) | TraceShard::kOpPrefetch});
-        ++s->tallies_.prefetches;
-        s->tallies_.computeCycles += 1.0;
-        return;
-    }
-    prefetchNow(addr);
+    if (tlsShard_)
+        record(TraceShard::kOpPrefetch, addr, 0, 1);
+    else
+        prefetchNow(addr);
 }
 
 void
 MemoryHierarchy::tick(double cycles)
 {
-    if (TraceShard *s = tlsShard) {
-        s->ops_.push_back({std::bit_cast<uint64_t>(cycles), 0,
-                           TraceShard::kOpTick});
-        s->tallies_.computeCycles += cycles;
-        return;
-    }
-    ctrs_.computeCycles += cycles;
+    if (tlsShard_)
+        record(TraceShard::kOpTick, std::bit_cast<uint64_t>(cycles), 0, 0);
+    else
+        ctrs_.computeCycles += cycles;
 }
 
 std::string
@@ -241,7 +119,7 @@ MemoryHierarchy::counterArgsJson(const CounterSet &c)
 void
 MemoryHierarchy::merge(TraceShard &shard)
 {
-    M4PS_ASSERT(tlsShard == nullptr,
+    M4PS_ASSERT(tlsShard_ == nullptr,
                 "merge() must run outside any recording region");
     obs::Span span("memsim", "memsim.merge");
     if (span.active())

@@ -9,12 +9,19 @@
  * access per element - identical line-granularity behaviour, much
  * faster simulation) and software prefetches.
  *
+ * Hit fast path: the codec hits L1 on well over 99% of its accesses,
+ * and most of those hit the line its set used last.  load(), store(),
+ * loadRow() and storeRow() are therefore inline: one test of the
+ * thread's recording shard, the counter updates, then one tag
+ * compare per line against the set's most recently used way
+ * (Cache::hitMru).  Only a line that is not MRU in its L1 set takes
+ * the out-of-line touchLineSlow(): an LRU hit further down the set,
+ * or a miss into L2 and DRAM.  The counters are the same either way.
+ *
  * Parallel runs: cache state is inherently order dependent, so
  * worker threads never touch it directly.  A task (one macroblock
  * row) binds a TraceShard to its thread; every access the task
- * performs is recorded into the shard instead of being simulated,
- * together with thread-locally accumulated order-independent
- * tallies (graduated accesses, prefetch counts, compute cycles).
+ * performs is recorded into the shard instead of being simulated.
  * After the parallel region the coordinating thread merges the
  * shards in deterministic row order, replaying each recorded access
  * against the real cache model.  Because the sequential encoder
@@ -38,32 +45,19 @@ namespace m4ps::memsim
 {
 
 /**
- * Per-task recording of simulated accesses plus the order-independent
- * counter tallies that can be accumulated without replay.  Single
- * writer (the bound thread); merged by one thread after the region.
+ * Per-task recording of simulated accesses.  Single writer (the
+ * bound thread); merged by one thread after the region.
  */
 class TraceShard
 {
   public:
-    /** Drop recorded accesses and zero the tallies. */
-    void
-    clear()
-    {
-        ops_.clear();
-        tallies_ = CounterSet{};
-    }
+    /** Drop recorded accesses. */
+    void clear() { ops_.clear(); }
 
     bool empty() const { return ops_.empty(); }
 
     /** Recorded access operations (loads, stores, prefetches, ticks). */
     size_t size() const { return ops_.size(); }
-
-    /**
-     * Order-independent counters accumulated at record time:
-     * graduated loads/stores, prefetch issue counts, and compute
-     * cycles.  Cache hit/miss state is only known after replay.
-     */
-    const CounterSet &tallies() const { return tallies_; }
 
   private:
     friend class MemoryHierarchy;
@@ -87,7 +81,6 @@ class TraceShard
     };
 
     std::vector<Op> ops_;
-    CounterSet tallies_;
 };
 
 /** L1 + L2 + DRAM model with perfex-style counters. */
@@ -98,19 +91,47 @@ class MemoryHierarchy
                     const CostModel &cost);
 
     /** One graduated load of @p bytes at @p addr. */
-    void load(uint64_t addr, int bytes);
+    void
+    load(uint64_t addr, int bytes)
+    {
+        if (tlsShard_)
+            record(TraceShard::kOpLoad, addr, bytes, 1);
+        else
+            loadNow(addr, bytes);
+    }
 
     /** One graduated store of @p bytes at @p addr. */
-    void store(uint64_t addr, int bytes);
+    void
+    store(uint64_t addr, int bytes)
+    {
+        if (tlsShard_)
+            record(TraceShard::kOpStore, addr, bytes, 1);
+        else
+            storeNow(addr, bytes);
+    }
 
     /**
      * @p elems graduated loads covering [@p addr, @p addr + @p bytes).
      * Each covered L1 line is probed exactly once.
      */
-    void loadRow(uint64_t addr, uint64_t bytes, uint64_t elems);
+    void
+    loadRow(uint64_t addr, uint64_t bytes, uint64_t elems)
+    {
+        if (tlsShard_)
+            record(TraceShard::kOpLoadRow, addr, bytes, elems);
+        else
+            loadRowNow(addr, bytes, elems);
+    }
 
     /** Store counterpart of loadRow(). */
-    void storeRow(uint64_t addr, uint64_t bytes, uint64_t elems);
+    void
+    storeRow(uint64_t addr, uint64_t bytes, uint64_t elems)
+    {
+        if (tlsShard_)
+            record(TraceShard::kOpStoreRow, addr, bytes, elems);
+        else
+            storeRowNow(addr, bytes, elems);
+    }
 
     /**
      * Software prefetch of the line containing @p addr.  A prefetch
@@ -128,10 +149,10 @@ class MemoryHierarchy
      * unbinds).  While bound, every access on this thread is
      * recorded instead of simulated.
      */
-    static void bindShard(TraceShard *shard);
+    static void bindShard(TraceShard *shard) { tlsShard_ = shard; }
 
     /** The shard bound to the current thread, or null. */
-    static TraceShard *boundShard();
+    static TraceShard *boundShard() { return tlsShard_; }
 
     /**
      * Replay @p shard's recorded accesses, in recording order,
@@ -199,17 +220,79 @@ class MemoryHierarchy
     static std::string counterArgsJson(const CounterSet &c);
 
   private:
+    /** Recording target of the current thread (null = simulate now). */
+    static inline thread_local TraceShard *tlsShard_ = nullptr;
+
+    /** Append one operation to the current thread's shard. */
+    static void record(TraceShard::OpKind kind, uint64_t addr,
+                       uint64_t bytes, uint64_t elems);
+
     /** Demand access to one L1 line. */
-    void touchLine(uint64_t addr, bool is_write);
+    void
+    touchLine(uint64_t addr, bool is_write)
+    {
+        if (!l1_.hitMru(addr, is_write))
+            touchLineSlow(addr, is_write);
+    }
+
+    /** touchLine() for a line that is not MRU in its L1 set. */
+    void touchLineSlow(uint64_t addr, bool is_write);
 
     /** Write a dirty L1 victim down into L2. */
     void writebackToL2(uint64_t addr);
 
     // Immediate (cache-touching) counterparts of the public API.
-    void loadNow(uint64_t addr, int bytes);
-    void storeNow(uint64_t addr, int bytes);
-    void loadRowNow(uint64_t addr, uint64_t bytes, uint64_t elems);
-    void storeRowNow(uint64_t addr, uint64_t bytes, uint64_t elems);
+    void
+    loadNow(uint64_t addr, int bytes)
+    {
+        ++ctrs_.gradLoads;
+        ctrs_.computeCycles += cost_.cyclesPerAccess;
+        touchLine(addr, false);
+        const uint64_t last = addr + bytes - 1;
+        if ((last & l1LineMask_) != (addr & l1LineMask_))
+            touchLine(last, false);
+    }
+
+    void
+    storeNow(uint64_t addr, int bytes)
+    {
+        ++ctrs_.gradStores;
+        ctrs_.computeCycles += cost_.cyclesPerAccess;
+        touchLine(addr, true);
+        const uint64_t last = addr + bytes - 1;
+        if ((last & l1LineMask_) != (addr & l1LineMask_))
+            touchLine(last, true);
+    }
+
+    void
+    loadRowNow(uint64_t addr, uint64_t bytes, uint64_t elems)
+    {
+        if (bytes == 0)
+            return;
+        ctrs_.gradLoads += elems;
+        ctrs_.computeCycles += cost_.cyclesPerAccess * elems;
+        touchLines(addr, addr + bytes, false);
+    }
+
+    void
+    storeRowNow(uint64_t addr, uint64_t bytes, uint64_t elems)
+    {
+        if (bytes == 0)
+            return;
+        ctrs_.gradStores += elems;
+        ctrs_.computeCycles += cost_.cyclesPerAccess * elems;
+        touchLines(addr, addr + bytes, true);
+    }
+
+    /** touchLine() each L1 line overlapping [@p addr, @p end). */
+    void
+    touchLines(uint64_t addr, uint64_t end, bool is_write)
+    {
+        const uint64_t line = l1_.config().lineBytes;
+        for (uint64_t a = addr & l1LineMask_; a < end; a += line)
+            touchLine(a, is_write);
+    }
+
     void prefetchNow(uint64_t addr);
 
     Cache l1_;

@@ -925,7 +925,43 @@ Server::sessionWorker(Session &s)
     if (haveRequest && verdict == Status::Ok)
         verdict = runSession(s, spec);
 
-    // Phase 4: terminal status (best-effort when the peer is gone).
+    // Phase 4: bookkeeping - breaker verdict and stats.  It lands
+    // before the terminal STATUS is queued, so a client that has
+    // read its STATUS sees the session counted and its admission
+    // slot and breaker verdict released.
+    if (classed) {
+        SessionEnd end = SessionEnd::NoVerdict;
+        if (verdict == Status::Ok || verdict == Status::Checkpointed)
+            end = SessionEnd::Success;
+        else if (verdict == Status::InternalError)
+            end = SessionEnd::PermanentFailure;
+        admission_.release(s.jobClass, isProbe, end, monoMs());
+    } else {
+        admission_.releaseUnclassified();
+    }
+    {
+        std::lock_guard<std::mutex> lock(statsMu_);
+        switch (verdict) {
+          case Status::Ok:               ++stats_.completed; break;
+          case Status::Checkpointed:     ++stats_.checkpointed; break;
+          case Status::InternalError:    ++stats_.failed; break;
+          case Status::Canceled:         ++stats_.canceled; break;
+          case Status::BadRequest:       ++stats_.badRequests; break;
+          case Status::IdleTimeout:      ++stats_.idleTimeouts; break;
+          case Status::DeadlineExceeded: ++stats_.deadlineExceeded;
+                                         break;
+          case Status::SlowReader:       ++stats_.slowReaders; break;
+          case Status::BreakerOpen:      ++stats_.shedBreaker; break;
+          default: break;
+        }
+        stats_.packets += s.packets;
+        stats_.payloadBytes += s.payloadBytes;
+        stats_.retargetSteps +=
+            static_cast<uint64_t>(s.retargetSteps);
+        if (s.retargetSteps > 0)
+            ++stats_.retargetedSessions;
+    }
+    // Phase 5: terminal status (best-effort when the peer is gone).
     if (!peerGone && verdict != Status::Canceled) {
         service::JsonEvent body("session_status");
         body.str("status", statusName(verdict))
@@ -959,40 +995,8 @@ Server::sessionWorker(Session &s)
     shutdownAndClose(s.fd);
     s.fd = -1;
 
-    // Phase 5: bookkeeping - breaker verdict, stats, event.
+    // Phase 6: latency and event, once the peer is closed.
     const int64_t now = monoMs();
-    if (classed) {
-        SessionEnd end = SessionEnd::NoVerdict;
-        if (verdict == Status::Ok || verdict == Status::Checkpointed)
-            end = SessionEnd::Success;
-        else if (verdict == Status::InternalError)
-            end = SessionEnd::PermanentFailure;
-        admission_.release(s.jobClass, isProbe, end, now);
-    } else {
-        admission_.releaseUnclassified();
-    }
-    {
-        std::lock_guard<std::mutex> lock(statsMu_);
-        switch (verdict) {
-          case Status::Ok:               ++stats_.completed; break;
-          case Status::Checkpointed:     ++stats_.checkpointed; break;
-          case Status::InternalError:    ++stats_.failed; break;
-          case Status::Canceled:         ++stats_.canceled; break;
-          case Status::BadRequest:       ++stats_.badRequests; break;
-          case Status::IdleTimeout:      ++stats_.idleTimeouts; break;
-          case Status::DeadlineExceeded: ++stats_.deadlineExceeded;
-                                         break;
-          case Status::SlowReader:       ++stats_.slowReaders; break;
-          case Status::BreakerOpen:      ++stats_.shedBreaker; break;
-          default: break;
-        }
-        stats_.packets += s.packets;
-        stats_.payloadBytes += s.payloadBytes;
-        stats_.retargetSteps +=
-            static_cast<uint64_t>(s.retargetSteps);
-        if (s.retargetSteps > 0)
-            ++stats_.retargetedSessions;
-    }
     observeSessionLatency(static_cast<double>(now - s.startMs));
     static obs::Counter &doneC = obs::counter("serve.sessions_done");
     doneC.add();

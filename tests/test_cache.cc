@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "memsim/cache.hh"
 #include "support/random.hh"
 
@@ -179,6 +182,196 @@ TEST_P(LruInclusion, MissesMonotoneInAssociativity)
 
 INSTANTIATE_TEST_SUITE_P(Assocs, LruInclusion,
                          ::testing::Values(1, 2, 4, 8));
+
+/**
+ * Reference true-LRU cache: every way carries the value of a global
+ * access clock from its last use, and a miss evicts the first invalid
+ * way or else the smallest timestamp.  The MRU-ordered Cache must be
+ * observably identical to it.
+ */
+class TickLruCache
+{
+  public:
+    explicit TickLruCache(const CacheConfig &c)
+        : assoc_(c.assoc),
+          lineShift_(std::countr_zero(static_cast<uint64_t>(c.lineBytes))),
+          setShift_(std::countr_zero(c.numSets())),
+          setMask_(c.numSets() - 1),
+          ways_(c.numSets() * c.assoc)
+    {}
+
+    AccessResult
+    access(uint64_t addr, bool is_write)
+    {
+        const uint64_t line = addr >> lineShift_;
+        const uint64_t set = line & setMask_;
+        const uint64_t tag = line >> setShift_;
+        Way *base = &ways_[set * assoc_];
+        ++tick_;
+        for (int w = 0; w < assoc_; ++w) {
+            if (base[w].valid && base[w].tag == tag) {
+                base[w].lastUse = tick_;
+                base[w].dirty = base[w].dirty || is_write;
+                return {true, false, 0};
+            }
+        }
+        Way *victim = nullptr;
+        for (int w = 0; w < assoc_; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+            if (!victim || base[w].lastUse < victim->lastUse)
+                victim = &base[w];
+        }
+        AccessResult res;
+        if (victim->valid && victim->dirty) {
+            res.evictedDirty = true;
+            res.evictedAddr = ((victim->tag << setShift_) | set)
+                              << lineShift_;
+        }
+        *victim = {tag, tick_, true, is_write};
+        return res;
+    }
+
+    bool
+    probe(uint64_t addr) const
+    {
+        const uint64_t line = addr >> lineShift_;
+        const Way *base = &ways_[(line & setMask_) * assoc_];
+        for (int w = 0; w < assoc_; ++w) {
+            if (base[w].valid && base[w].tag == line >> setShift_)
+                return true;
+        }
+        return false;
+    }
+
+    void
+    reset()
+    {
+        for (auto &w : ways_)
+            w = Way{};
+        tick_ = 0;
+    }
+
+    uint64_t
+    validLines() const
+    {
+        uint64_t n = 0;
+        for (const auto &w : ways_)
+            n += w.valid ? 1 : 0;
+        return n;
+    }
+
+  private:
+    struct Way
+    {
+        uint64_t tag = 0;
+        uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    int assoc_;
+    int lineShift_;
+    int setShift_;
+    uint64_t setMask_;
+    uint64_t tick_ = 0;
+    std::vector<Way> ways_;
+};
+
+::testing::AssertionResult
+sameResult(const AccessResult &got, const AccessResult &want)
+{
+    if (got.hit == want.hit && got.evictedDirty == want.evictedDirty &&
+        got.evictedAddr == want.evictedAddr)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "got {hit " << got.hit << ", dirty " << got.evictedDirty
+           << ", addr " << got.evictedAddr << "} want {hit " << want.hit
+           << ", dirty " << want.evictedDirty << ", addr "
+           << want.evictedAddr << "}";
+}
+
+/**
+ * Seeded random streams of access, fill, probe, reset and the
+ * hitMru-then-access demand path, against the reference at every
+ * step, over associativities 1-8 and two line sizes.
+ */
+TEST(CacheOracle, RandomStreamsMatchTickLruReference)
+{
+    for (const int line : {32, 128}) {
+        for (const int assoc : {1, 2, 4, 8}) {
+            SCOPED_TRACE(::testing::Message()
+                         << assoc << "-way, " << line << "B lines");
+            const CacheConfig cfg{
+                static_cast<uint64_t>(16 * line * assoc), assoc, line};
+            Cache c(cfg);
+            TickLruCache ref(cfg);
+            Rng rng(77 + assoc * 131 + line);
+            // Twice the capacity in lines: hits, LRU hits further
+            // down a set, and evictions all stay frequent.
+            const int64_t lines = 2 * 16 * assoc;
+            for (int step = 0; step < 20000; ++step) {
+                const uint64_t addr =
+                    static_cast<uint64_t>(rng.uniformInt(0, lines - 1)) *
+                        line +
+                    static_cast<uint64_t>(rng.uniformInt(0, line - 1));
+                const bool write = rng.chance(0.3);
+                const int64_t op = rng.uniformInt(0, 999);
+                if (op < 400) {
+                    ASSERT_TRUE(sameResult(c.access(addr, write),
+                                           ref.access(addr, write)))
+                        << "access at step " << step;
+                } else if (op < 800) {
+                    const AccessResult got =
+                        c.hitMru(addr, write) ? AccessResult{true}
+                                              : c.access(addr, write);
+                    ASSERT_TRUE(
+                        sameResult(got, ref.access(addr, write)))
+                        << "demand at step " << step;
+                } else if (op < 900) {
+                    ASSERT_TRUE(sameResult(c.fill(addr, write),
+                                           ref.access(addr, write)))
+                        << "fill at step " << step;
+                } else if (op < 999) {
+                    ASSERT_EQ(c.probe(addr), ref.probe(addr))
+                        << "probe at step " << step;
+                } else {
+                    c.reset();
+                    ref.reset();
+                }
+                ASSERT_EQ(c.validLines(), ref.validLines())
+                    << "step " << step;
+            }
+        }
+    }
+}
+
+/** A hit below way 0 moves the line to MRU; hitMru then finds it. */
+TEST(Cache, HitMruSeesOnlyTheMostRecentLine)
+{
+    Cache c(tiny(1024, 4, 32)); // 8 sets; 0, 256, 512 share set 0
+    EXPECT_FALSE(c.hitMru(0, false)); // cold
+    c.access(0, false);
+    c.access(256, false);
+    EXPECT_TRUE(c.hitMru(256, false));
+    EXPECT_FALSE(c.hitMru(0, false)); // present, not MRU
+    EXPECT_TRUE(c.access(0, false).hit);
+    EXPECT_TRUE(c.hitMru(0, true));    // dirties in place
+    c.access(256, false);
+    c.access(512, false);
+    c.access(768, false);
+    const AccessResult r = c.access(1024, false); // evicts LRU line 0
+    EXPECT_TRUE(r.evictedDirty);
+    EXPECT_EQ(r.evictedAddr, 0u);
+}
+
+TEST(CacheDeathTest, OneSetOneByteLinesRejected)
+{
+    // The invalid-way sentinel needs at least one bit of shift.
+    EXPECT_DEATH({ Cache c(CacheConfig{2, 2, 1}); }, "two bytes");
+}
 
 /** Sequential streaming through a cache misses once per line. */
 TEST(Cache, StreamingMissesOncePerLine)

@@ -1,12 +1,17 @@
 /**
  * @file
  * Tests for the two-level hierarchy: counter semantics, row
- * coalescing, writeback propagation, prefetch modelling, regions.
+ * coalescing, writeback propagation, prefetch modelling, regions,
+ * and sharded recording + in-order replay.
  */
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "memsim/hierarchy.hh"
+#include "support/random.hh"
 
 namespace m4ps::memsim
 {
@@ -214,6 +219,124 @@ TEST(Hierarchy, NestedRegionsAccumulateIndependently)
     EXPECT_EQ(mh.profiler().get("inner").gradLoads, 3u);
     EXPECT_TRUE(mh.profiler().has("outer"));
     EXPECT_FALSE(mh.profiler().has("absent"));
+}
+
+/** One step of a mixed access stream. */
+struct StreamOp
+{
+    enum Kind { Load, Store, LoadRow, StoreRow, Prefetch, Tick } kind;
+    uint64_t addr = 0;
+    uint64_t bytes = 0;
+    uint64_t elems = 0;
+    double cycles = 0;
+};
+
+std::vector<StreamOp>
+mixedStream(uint64_t seed, int n)
+{
+    Rng rng(seed);
+    std::vector<StreamOp> ops;
+    for (int i = 0; i < n; ++i) {
+        StreamOp op{static_cast<StreamOp::Kind>(rng.uniformInt(0, 5))};
+        // A hot 2 KB block (L1 hits, LRU reorders) inside a 64 KB
+        // range (L1 and L2 evictions, dirty writebacks).
+        op.addr = static_cast<uint64_t>(
+            rng.chance(0.8) ? rng.uniformInt(0, 2047)
+                            : rng.uniformInt(0, 65535));
+        op.bytes = static_cast<uint64_t>(
+            op.kind == StreamOp::LoadRow || op.kind == StreamOp::StoreRow
+                ? rng.uniformInt(0, 96)
+                : int64_t{1} << rng.uniformInt(0, 3));
+        op.elems = op.bytes / 2 + 1;
+        op.cycles = rng.uniformReal(0.0, 40.0);
+        ops.push_back(op);
+    }
+    return ops;
+}
+
+void
+apply(MemoryHierarchy &mh, const StreamOp &op)
+{
+    switch (op.kind) {
+      case StreamOp::Load:
+        mh.load(op.addr, static_cast<int>(op.bytes));
+        break;
+      case StreamOp::Store:
+        mh.store(op.addr, static_cast<int>(op.bytes));
+        break;
+      case StreamOp::LoadRow:
+        mh.loadRow(op.addr, op.bytes, op.elems);
+        break;
+      case StreamOp::StoreRow:
+        mh.storeRow(op.addr, op.bytes, op.elems);
+        break;
+      case StreamOp::Prefetch:
+        mh.prefetch(op.addr);
+        break;
+      case StreamOp::Tick:
+        mh.tick(op.cycles);
+        break;
+    }
+}
+
+/**
+ * The same stream simulated directly, or recorded into shards on
+ * worker threads and merged in order, gives == counters (cycle
+ * doubles included) and leaves the caches in the same state.
+ */
+TEST(HierarchyReplay, ShardedRecordingMatchesDirectSimulation)
+{
+    CostModel cm;
+    cm.cyclesPerAccess = 1.3;
+    cm.l2HitLatency = 10.7;
+    cm.dramLatency = 101.3;
+    cm.l2Exposure = 0.6;
+    cm.dramExposure = 0.35;
+    const std::vector<StreamOp> ops = mixedStream(2024, 40000);
+
+    MemoryHierarchy direct(kL1, kL2, cm);
+    for (const StreamOp &op : ops)
+        apply(direct, op);
+
+    MemoryHierarchy replayed(kL1, kL2, cm);
+    const size_t kShards = 8;
+    std::vector<TraceShard> shards(kShards);
+    std::vector<std::thread> workers;
+    for (size_t k = 0; k < kShards; ++k) {
+        workers.emplace_back([&, k] {
+            MemoryHierarchy::bindShard(&shards[k]);
+            const size_t lo = ops.size() * k / kShards;
+            const size_t hi = ops.size() * (k + 1) / kShards;
+            for (size_t i = lo; i < hi; ++i)
+                apply(replayed, ops[i]);
+            MemoryHierarchy::bindShard(nullptr);
+        });
+    }
+    for (std::thread &t : workers)
+        t.join();
+    EXPECT_EQ(replayed.counters(), CounterSet{});
+    for (TraceShard &shard : shards) {
+        EXPECT_FALSE(shard.empty());
+        replayed.merge(shard);
+        EXPECT_TRUE(shard.empty());
+    }
+
+    EXPECT_EQ(replayed.counters(), direct.counters())
+        << "replayed:\n" << replayed.counters().str()
+        << "direct:\n" << direct.counters().str();
+    EXPECT_GT(direct.counters().l1Misses, 0u);
+    EXPECT_GT(direct.counters().l2Misses, 0u);
+    EXPECT_GT(direct.counters().l1Writebacks, 0u);
+    EXPECT_GT(direct.counters().prefetchL1Hits, 0u);
+
+    // Same cache state: a further direct stream keeps them equal.
+    for (const StreamOp &op : mixedStream(7, 5000)) {
+        apply(direct, op);
+        apply(replayed, op);
+    }
+    EXPECT_EQ(replayed.counters(), direct.counters());
+    EXPECT_EQ(replayed.l1().validLines(), direct.l1().validLines());
+    EXPECT_EQ(replayed.l2().validLines(), direct.l2().validLines());
 }
 
 TEST(CounterSet, ArithmeticOperators)

@@ -276,6 +276,8 @@ TEST(Perfctr, CountsJsonCarriesBackendAndEvents)
         << "invalid slots must not appear";
 }
 
+#if M4PS_OBS // trace spans exist only with observability compiled in
+
 /**
  * Regions destruct LIFO, so their trace spans must nest exactly like
  * obs::Span scopes: inner contained in outer, both carrying counter
@@ -333,6 +335,8 @@ TEST(Perfctr, RegionSpansNestLikeObsSpans)
     EXPECT_EQ(plain->args.find("perf_backend"), std::string::npos)
         << "ordinary spans must not grow perf args";
 }
+
+#endif // M4PS_OBS
 
 } // namespace
 } // namespace m4ps
